@@ -147,6 +147,8 @@ def load(path) -> tuple[StructureTable, CartanCandidate | None]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise AlgebraFileError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise AlgebraFileError(f"{path} is not valid UTF-8") from None
     return loads(text)
 
 

@@ -26,11 +26,7 @@ from .algfile import AlgebraFileError, loads as load_algebra_text
 from .connections import connection_classes, decompose
 from .errors import PreconditionError, VerificationError
 from .linalg import format_rational
-from .roots import (
-    is_symmetric,
-    root_decomposition,
-    verify_splitting_cartan,
-)
+from .roots import is_symmetric, verify_splitting_cartan
 from .simplicity import SIMPLE, simplicity_criterion, structure_theorem
 
 SCHEMA_VERSION = "1"
@@ -208,11 +204,11 @@ def _require_cartan(cartan):
 
 def _require_decomposition(table, cartan):
     report = verify_splitting_cartan(table, cartan)
-    if not report.decomposition_ok:
+    if report.decomposition is None:
         raise _StageFailure(
             {"failed_stage": "cartan", "cartan": _cartan_payload(report)}
         )
-    return root_decomposition(table, cartan)
+    return report.decomposition
 
 
 def _require_symmetric(decomp):

@@ -288,12 +288,10 @@ def decompose(
         ideal_component(decomp, cls) for cls in connection_classes(decomp)
     )
 
-    coverage = u_complement
-    dim_sum = 0
+    component_sum = Subspace.zero(n)
     for component in components:
-        coverage = span_sum(coverage, component.total)
-        dim_sum += component.total.dim
-    spans_l = coverage == Subspace.full(n)
+        component_sum = span_sum(component_sum, component.total)
+    spans_l = span_sum(u_complement, component_sum) == Subspace.full(n)
 
     orthogonality_ok = True
     for i, first in enumerate(components):
@@ -305,10 +303,7 @@ def decompose(
                     ):
                         orthogonality_ok = False
 
-    component_sum = Subspace.zero(n)
-    for component in components:
-        component_sum = span_sum(component_sum, component.total)
-    sum_direct = component_sum.dim == dim_sum
+    sum_direct = component_sum.dim == sum(c.total.dim for c in components)
 
     return DecompositionReport(
         complement_u=u_complement,

@@ -101,6 +101,12 @@ class CartanReport:
     implied by (a)+(b) when delta = -1.  Maximality is three-valued for
     delta = -1 because disproving it needs a centralizer element x
     outside H with [x, x] = 0, which is only searched heuristically.
+
+    ``decomposition`` is the root decomposition built from the same
+    eigenspaces, set exactly when (a)-(d) hold, so one check yields both:
+
+        report = verify_splitting_cartan(table, cartan)
+        decomp = report.decomposition  # None unless decomposition_ok
     """
 
     abelian_ok: bool
@@ -112,9 +118,7 @@ class CartanReport:
     centralizer_space: Subspace
     maximality: str
     maximality_witness: Vector | None
-    joint_eigenspaces: tuple[tuple[tuple[Fraction, ...], Subspace], ...] = field(
-        repr=False
-    )
+    decomposition: RootDecomposition | None = field(repr=False)
 
     @property
     def decomposition_ok(self) -> bool:
@@ -130,27 +134,15 @@ class CartanReport:
         return self.decomposition_ok and self.maximality == MAXIMAL
 
 
-def _joint_eigenspaces(table, cartan):
-    """Refine eigenspaces of the ad maps across the ordered Cartan basis."""
-    spaces = [((), Subspace.full(table.dim))]
-    for h in cartan.ordered_basis:
-        eigen = rational_eigen(ad_matrix(table, h))
-        refined = []
-        for tup, space in spaces:
-            for lam, eigenspace in eigen:
-                if eigenspace.is_zero():
-                    continue
-                meet = span_intersection(space, eigenspace)
-                if not meet.is_zero():
-                    refined.append((tup + (lam,), meet))
-        spaces = refined
-    return tuple(sorted(spaces, key=lambda pair: pair[0]))
-
-
 def verify_splitting_cartan(
     table: StructureTable, cartan: CartanCandidate
 ) -> CartanReport:
-    """Run the five splitting-Cartan checks; assumes the axioms hold."""
+    """Run the five splitting-Cartan checks; assumes the axioms hold.
+
+    The eigenvalue tuple (l_1, ..., l_m) of the ad maps on a joint
+    eigenspace gives the root functional values a(h_i) = delta * l_i,
+    since ad(h) v = delta [h, v].
+    """
     n = table.dim
     basis = cartan.ordered_basis
 
@@ -162,16 +154,29 @@ def verify_splitting_cartan(
     )
     abelian_ok = not abelian_violations
 
+    eigens = []
     bad_indices = []
     for i, h in enumerate(basis):
         try:
-            rational_eigen(ad_matrix(table, h))
+            eigens.append(rational_eigen(ad_matrix(table, h)))
         except NotSplitError:
             bad_indices.append(i)
     diagonalizable_ok = not bad_indices
 
+    spans_ok = zero_space_is_cartan = False
+    decomposition = None
     if diagonalizable_ok:
-        joint = _joint_eigenspaces(table, cartan)
+        # Refine the eigenspaces of the ad maps across the Cartan basis;
+        # rational_eigen only returns eigenvalues with a nonzero kernel.
+        joint = [((), Subspace.full(n))]
+        for eigen in eigens:
+            refined = []
+            for tup, space in joint:
+                for lam, eigenspace in eigen:
+                    meet = span_intersection(space, eigenspace)
+                    if not meet.is_zero():
+                        refined.append((tup + (lam,), meet))
+            joint = refined
         spans_ok = sum(space.dim for _, space in joint) == n
         zero_tuple = (Fraction(0),) * len(basis)
         zero_space = next(
@@ -179,10 +184,19 @@ def verify_splitting_cartan(
             Subspace.zero(n),
         )
         zero_space_is_cartan = zero_space == cartan.subspace
-    else:
-        joint = ()
-        spans_ok = False
-        zero_space_is_cartan = False
+        if abelian_ok and spans_ok and zero_space_is_cartan:
+            delta = Fraction(table.delta)
+            pairs = [
+                (tuple(delta * lam for lam in tup), space)
+                for tup, space in joint
+                if tup != zero_tuple
+            ]
+            decomposition = RootDecomposition(
+                algebra=table,
+                cartan=cartan,
+                root_spaces=tuple(sorted(pairs, key=lambda p: p[0])),
+                zero_space=zero_space,
+            )
 
     cz = centralizer(table, cartan)
     witness = None
@@ -218,7 +232,7 @@ def verify_splitting_cartan(
         centralizer_space=cz,
         maximality=maximality,
         maximality_witness=witness,
-        joint_eigenspaces=joint,
+        decomposition=decomposition,
     )
 
 
@@ -249,14 +263,13 @@ class RootDecomposition:
 def root_decomposition(
     table: StructureTable, cartan: CartanCandidate
 ) -> RootDecomposition:
-    """Build the root decomposition from the joint ad eigenspaces.
+    """Verify the candidate and return its root decomposition.
 
-    Requires checks (a)-(d) of verify_splitting_cartan.  The eigenvalue
-    tuple (l_1, ..., l_m) of the ad maps gives the functional values
-    a(h_i) = delta * l_i, since ad(h) v = delta [h, v].
+    Raises PreconditionError naming every failed check among (a)-(d) of
+    verify_splitting_cartan.
     """
     report = verify_splitting_cartan(table, cartan)
-    if not report.decomposition_ok:
+    if report.decomposition is None:
         failed = [
             name
             for name, ok in (
@@ -271,22 +284,7 @@ def root_decomposition(
             f"candidate is not a splitting Cartan subalgebra; failed checks: "
             f"{', '.join(failed)}"
         )
-    delta = Fraction(table.delta)
-    zero_tuple = (Fraction(0),) * cartan.dim
-    pairs = []
-    zero_space = Subspace.zero(table.dim)
-    for tup, space in report.joint_eigenspaces:
-        if tup == zero_tuple:
-            zero_space = space
-        else:
-            alpha = tuple(delta * lam for lam in tup)
-            pairs.append((alpha, space))
-    return RootDecomposition(
-        algebra=table,
-        cartan=cartan,
-        root_spaces=tuple(sorted(pairs, key=lambda p: p[0])),
-        zero_space=zero_space,
-    )
+    return report.decomposition
 
 
 def is_symmetric(decomp: RootDecomposition) -> bool:

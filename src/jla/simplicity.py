@@ -91,10 +91,10 @@ def no_ideal_in_cartan_check(
 ) -> bool:
     """Verify that no nonzero ideal fits inside the Cartan subspace.
 
-    Requires a trivial center.  Checks every minimal ideal found by the
-    brute-force enumeration against containment in H, plus the mechanism
-    that forces the conclusion: H meets the sum of the root spaces
-    trivially, so an ideal inside H must act as zero on all root spaces.
+    Requires a trivial center.  Checks the mechanism that forces the
+    conclusion, that H meets the sum of the root spaces trivially, plus
+    every minimal ideal found by the brute-force enumeration against
+    containment in H.
     """
     if not center(table).is_zero():
         raise PreconditionError("the check requires a trivial center")
@@ -104,16 +104,10 @@ def no_ideal_in_cartan_check(
         v_sum = span_sum(v_sum, space)
     if not span_intersection(decomp.cartan.subspace, v_sum).is_zero():
         return False
-    for ideal in minimal_ideals_oracle(table, cap):
-        if ideal.is_subspace_of(decomp.cartan.subspace):
-            # The lemma's mechanism, computed exactly: such an ideal
-            # must annihilate every root space.
-            for s in ideal.basis:
-                for w in v_sum.basis:
-                    if not vec_is_zero(bracket(table, s, w)):
-                        return False
-            return False
-    return True
+    return not any(
+        ideal.is_subspace_of(decomp.cartan.subspace)
+        for ideal in minimal_ideals_oracle(table, cap)
+    )
 
 
 @dataclass(frozen=True)
@@ -141,14 +135,20 @@ class SimplicityVerdict:
 
     ``simple`` and ``not_simple`` are only claimed when all hypotheses
     hold; ``all_connected`` is None when the root system is not symmetric
-    and connection classes are undefined.
+    and connection classes are undefined.  ``oracle_ideals`` holds the
+    brute-force minimal ideals the verdict was cross-checked against, or
+    None when the oracle did not run.
     """
 
     hypotheses: SimplicityHypotheses
     all_connected: bool | None
     class_count: int | None
     verdict: str
-    oracle_checked: bool
+    oracle_ideals: tuple[Subspace, ...] | None
+
+    @property
+    def oracle_checked(self) -> bool:
+        return self.oracle_ideals is not None
 
 
 def simplicity_criterion(
@@ -177,23 +177,22 @@ def simplicity_criterion(
     else:
         verdict = HYPOTHESES_UNMET
 
-    oracle_checked = False
+    ideals = None
     if verdict in (SIMPLE, NOT_SIMPLE) and table.dim <= oracle_cap:
-        ideals = minimal_ideals_oracle(table, oracle_cap)
-        oracle_simple = ideals == [Subspace.full(table.dim)]
+        ideals = tuple(minimal_ideals_oracle(table, oracle_cap))
+        oracle_simple = ideals == (Subspace.full(table.dim),)
         if oracle_simple != (verdict == SIMPLE):
             raise VerificationError(
                 f"simplicity verdict {verdict!r} disagrees with the "
                 f"brute-force ideal search, which found "
                 f"{[ideal.basis for ideal in ideals]!r}"
             )
-        oracle_checked = True
     return SimplicityVerdict(
         hypotheses=hypotheses,
         all_connected=all_connected,
         class_count=class_count,
         verdict=verdict,
-        oracle_checked=oracle_checked,
+        oracle_ideals=ideals,
     )
 
 
@@ -259,10 +258,14 @@ def structure_theorem(
 ) -> StructureReport:
     """Decompose into minimal ideals and re-verify each one is simple.
 
-    Requires all five simplicity hypotheses.  Every component is restricted
-    to a standalone table, its Cartan re-derived as the intersection with
-    the ambient Cartan, and its own root decomposition and verdict
-    recomputed; any failed guarantee raises.
+    Requires all five simplicity hypotheses.  Every proper component is
+    restricted to a standalone table, its Cartan re-derived as the
+    intersection with the ambient Cartan, and its own root decomposition
+    and verdict recomputed; a component equal to the whole algebra reuses
+    the ambient table, decomposition and verdict, which restricting to
+    the identity basis would reproduce.  The components are cross-checked
+    against the oracle ideals of the overall verdict.  Any failed
+    guarantee raises.
     """
     overall = simplicity_criterion(table, decomp, oracle_cap)
     if not overall.hypotheses.all_met:
@@ -291,44 +294,43 @@ def structure_theorem(
 
     components = []
     for component in report.components:
-        sub_table = restrict_to_component(table, component.total)
-        if not check_axioms(sub_table).passed:
-            raise VerificationError(
-                "a restricted component fails the bracket axioms"
+        if component.total == Subspace.full(table.dim):
+            sub_table, sub_decomp, verdict = table, decomp, overall
+        else:
+            sub_table = restrict_to_component(table, component.total)
+            if not check_axioms(sub_table).passed:
+                raise VerificationError(
+                    "a restricted component fails the bracket axioms"
+                )
+            h_meet = span_intersection(decomp.cartan.subspace, component.total)
+            cartan_coords = [
+                component.total.coordinates(row) for row in h_meet.basis
+            ]
+            sub_cartan = CartanCandidate.from_elements(
+                sub_table.dim, [vector(c) for c in cartan_coords]
             )
-        h_meet = span_intersection(decomp.cartan.subspace, component.total)
-        cartan_coords = [
-            component.total.coordinates(row) for row in h_meet.basis
-        ]
-        sub_cartan = CartanCandidate.from_elements(
-            sub_table.dim, [vector(c) for c in cartan_coords]
-        )
-        sub_decomp = root_decomposition(sub_table, sub_cartan)
-        verdict = simplicity_criterion(sub_table, sub_decomp, oracle_cap)
+            sub_decomp = root_decomposition(sub_table, sub_cartan)
+            verdict = simplicity_criterion(sub_table, sub_decomp, oracle_cap)
         if verdict.verdict != SIMPLE:
             raise VerificationError(
                 f"a component failed to re-verify as simple: {verdict.verdict}"
             )
-        if not is_symmetric(sub_decomp):
-            raise VerificationError("a component's root system is not symmetric")
         if not is_ideal(table, component.total):
             raise VerificationError("a component is not an ideal")
         components.append(
             ComponentReport(
                 component=component,
                 table=sub_table,
-                cartan=sub_cartan,
+                cartan=sub_decomp.cartan,
                 roots=sub_decomp.roots,
                 verdict=verdict,
             )
         )
 
-    oracle_checked = table.dim <= oracle_cap
     oracle_agrees: bool | None = None
-    if oracle_checked:
-        oracle_ideals = set(minimal_ideals_oracle(table, oracle_cap))
+    if overall.oracle_checked:
         component_totals = {component.total for component in report.components}
-        oracle_agrees = oracle_ideals == component_totals
+        oracle_agrees = set(overall.oracle_ideals) == component_totals
         if not oracle_agrees:
             raise VerificationError(
                 "component ideals disagree with the brute-force minimal "
@@ -338,6 +340,6 @@ def structure_theorem(
         decomposition=report,
         components=tuple(components),
         sum_direct=report.direct_sum,
-        oracle_checked=oracle_checked,
+        oracle_checked=overall.oracle_checked,
         oracle_agrees=oracle_agrees,
     )

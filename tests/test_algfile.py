@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jla import samples
-from jla.algfile import AlgebraFileError, dumps, load_dict, loads
+from jla.algfile import AlgebraFileError, dumps, load, load_dict, loads
 
 F = Fraction
 
@@ -104,3 +104,10 @@ def test_cartan_with_unknown_name_is_an_error():
     data["cartan"] = [{"q": "1"}]
     with pytest.raises(AlgebraFileError, match="unknown basis name"):
         load_dict(data)
+
+
+def test_load_reports_non_utf8_file_as_file_error(tmp_path):
+    path = tmp_path / "bad.alg"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(AlgebraFileError, match="not valid UTF-8"):
+        load(path)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import DATA_DIR, GOLDEN_DIR, run_cli
+from jla import cli, roots, simplicity
 from jla.cli import COMMANDS
 
 CORPUS_FILES = sorted(p.stem for p in DATA_DIR.glob("*.alg"))
@@ -119,6 +120,73 @@ def test_structure_on_sl2x2():
     comps = report["result"]["structure"]["components"]
     assert [c["dim"] for c in comps] == [3, 3]
     assert all(c["verdict"]["verdict"] == "simple" for c in comps)
+
+
+# --- each pipeline stage runs once per command ------------------------------------
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Count calls of the eigen, Cartan-check and oracle stages."""
+    calls = {"rational_eigen": 0, "verify_splitting_cartan": 0, "oracle": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        roots, "rational_eigen", counting("rational_eigen", roots.rational_eigen)
+    )
+    verify = counting("verify_splitting_cartan", roots.verify_splitting_cartan)
+    monkeypatch.setattr(roots, "verify_splitting_cartan", verify)
+    monkeypatch.setattr(cli, "verify_splitting_cartan", verify)
+    monkeypatch.setattr(
+        simplicity,
+        "minimal_ideals_oracle",
+        counting("oracle", simplicity.minimal_ideals_oracle),
+    )
+    return calls
+
+
+@pytest.mark.parametrize("command", ("verify-cartan", "roots"))
+def test_sl3_cartan_check_runs_one_eigen_pass_per_cartan_element(
+    stage_calls, command
+):
+    code, _ = run_cli(command, str(DATA_DIR / "sl3.alg"))
+    assert code == 0
+    assert stage_calls["rational_eigen"] == 2
+    assert stage_calls["verify_splitting_cartan"] == 1
+
+
+@pytest.mark.parametrize(
+    "command", ("roots", "classes", "decompose", "simplicity", "structure")
+)
+def test_sl2_commands_check_the_cartan_once(stage_calls, command):
+    code, _ = run_cli(command, str(DATA_DIR / "sl2.alg"))
+    assert code == 0
+    assert stage_calls["verify_splitting_cartan"] == 1
+    assert stage_calls["rational_eigen"] == 1
+
+
+def test_sl3_structure_runs_the_oracle_once(stage_calls):
+    code, _ = run_cli("structure", str(DATA_DIR / "sl3.alg"))
+    assert code == 0
+    assert stage_calls["oracle"] == 1
+    assert stage_calls["verify_splitting_cartan"] == 1
+    assert stage_calls["rational_eigen"] == 2
+
+
+def test_sl2x2_structure_checks_each_component_once(stage_calls):
+    code, _ = run_cli("structure", str(DATA_DIR / "sl2x2.alg"))
+    assert code == 0
+    # The algebra's 2-dim Cartan plus one 1-dim Cartan per 3-dim component.
+    assert stage_calls["rational_eigen"] == 4
+    assert stage_calls["verify_splitting_cartan"] == 3
+    # Once for the algebra and once per component.
+    assert stage_calls["oracle"] == 3
 
 
 # --- formats --------------------------------------------------------------------
