@@ -1,7 +1,8 @@
 """Structure-constant algebras with a delta-twisted bracket.
 
-A table stores the coefficients c[i][j][k] of [b_i, b_j] in a fixed basis
-together with the sign delta in {+1, -1}.  Validity of the bracket axioms
+A table stores the nonzero coefficients of each product [b_i, b_j] in a
+fixed basis together with the sign delta in {+1, -1}.  Validity of the
+bracket axioms
 
     (1)  [x, y] = -delta [y, x]
     (2)  [x, [y, z]] = delta [[x, y], z] + delta [y, [x, z]]
@@ -12,8 +13,10 @@ be loaded and diagnosed.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .linalg import (
     Matrix,
@@ -26,7 +29,6 @@ from .linalg import (
     vec_scale,
     vec_sub,
     vector,
-    zero_vector,
 )
 
 DEFAULT_ORACLE_CAP = 12
@@ -40,24 +42,31 @@ class OracleCapExceeded(ValueError):
 class StructureTable:
     """Bilinear product on Q^dim given by structure constants.
 
-    ``c[i][j]`` is the coordinate vector of the product of basis vectors
-    i and j.  With delta = -1 the product may be symmetric and [x, x]
-    nonzero, so no symmetry completion is ever applied.
+    ``products`` maps a pair (i, j) of basis indices to the nonzero terms
+    ((k, c), ...) of [b_i, b_j] = sum c b_k; unlisted pairs multiply to
+    zero.  It is a read-only view, and no stored coefficient is zero.
+    With delta = -1 the product may be symmetric and [x, x] nonzero, so
+    no symmetry completion is ever applied.
     """
 
     dim: int
     delta: int
-    c: tuple[tuple[Vector, ...], ...]
+    products: Mapping[tuple[int, int], tuple[tuple[int, Fraction], ...]]
     basis_names: tuple[str, ...]
 
     def __post_init__(self):
         if self.delta not in (1, -1):
             raise ValueError("delta must be +1 or -1")
-        if len(self.c) != self.dim or any(
-            len(ci) != self.dim or any(len(cij) != self.dim for cij in ci)
-            for ci in self.c
-        ):
-            raise ValueError("structure constants must form a dim^3 grid")
+        indices = range(self.dim)
+        for (i, j), terms in self.products.items():
+            if i not in indices or j not in indices:
+                raise ValueError(f"basis pair ({i}, {j}) is out of range")
+            for k, coeff in terms:
+                if k not in indices:
+                    raise ValueError(f"result index {k} of ({i}, {j}) is out of range")
+                if coeff == 0:
+                    raise ValueError(f"zero coefficient stored for ({i}, {j})")
+        object.__setattr__(self, "products", MappingProxyType(dict(self.products)))
         if len(self.basis_names) != self.dim:
             raise ValueError("need one basis name per dimension")
         if len(set(self.basis_names)) != self.dim:
@@ -71,63 +80,47 @@ class StructureTable:
         brackets: dict[tuple[int, int], dict[int, Fraction]],
         basis_names=None,
     ) -> StructureTable:
-        """Build a table from sparse {(i, j): {k: coeff}} bracket data."""
-        grid = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), result in brackets.items():
-            for k, coeff in result.items():
-                grid[i][j][k] = Fraction(coeff)
+        """Build a table from sparse {(i, j): {k: coeff}} bracket data.
+
+        Zero coefficients and empty results are dropped; pairs and terms
+        are stored in ascending order.
+        """
+        products = {}
+        for pair in sorted(brackets):
+            result = {k: Fraction(coeff) for k, coeff in brackets[pair].items()}
+            terms = tuple((k, c) for k, c in sorted(result.items()) if c != 0)
+            if terms:
+                products[pair] = terms
         if basis_names is None:
             basis_names = tuple(f"b{i}" for i in range(dim))
-        return cls(
-            dim,
-            delta,
-            tuple(tuple(tuple(row) for row in plane) for plane in grid),
-            tuple(basis_names),
-        )
-
-    def basis_index(self, name: str) -> int:
-        return self.basis_names.index(name)
+        return cls(dim, delta, products, tuple(basis_names))
 
     def basis_element(self, i: int) -> Vector:
         return basis_vector(self.dim, i)
 
 
 def bracket(table: StructureTable, x: Vector, y: Vector) -> Vector:
-    """Bilinear product of two coordinate vectors, exact."""
+    """Bilinear product of two coordinate vectors, exact.
+
+    The only routine that reads the structure constants: it sums over the
+    nonzero coordinates of x and y and the stored terms of each pair.
+    """
     n = table.dim
     if len(x) != n or len(y) != n:
         raise ValueError("element dimension does not match the algebra")
+    products = table.products
+    y_support = [(j, yj) for j, yj in enumerate(y) if yj != 0]
     out = [Fraction(0)] * n
     for i, xi in enumerate(x):
         if xi == 0:
             continue
-        ci = table.c[i]
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            f = xi * yj
-            for k, ck in enumerate(ci[j]):
-                if ck != 0:
-                    out[k] += f * ck
+        for j, yj in y_support:
+            terms = products.get((i, j))
+            if terms:
+                f = xi * yj
+                for k, c in terms:
+                    out[k] += f * c
     return tuple(out)
-
-
-def _bracket_right_basis(table: StructureTable, x: Vector, j: int) -> Vector:
-    """[x, b_j] without materializing the basis vector."""
-    out = zero_vector(table.dim)
-    for i, xi in enumerate(x):
-        if xi != 0:
-            out = vec_add(out, vec_scale(table.c[i][j], xi))
-    return out
-
-
-def _bracket_left_basis(table: StructureTable, j: int, x: Vector) -> Vector:
-    """[b_j, x] without materializing the basis vector."""
-    out = zero_vector(table.dim)
-    for m, xm in enumerate(x):
-        if xm != 0:
-            out = vec_add(out, vec_scale(table.c[j][m], xm))
-    return out
 
 
 @dataclass(frozen=True)
@@ -150,20 +143,22 @@ class AxiomReport:
 
 def check_axioms(table: StructureTable) -> AxiomReport:
     n, d = table.dim, table.delta
+    basis = [table.basis_element(i) for i in range(n)]
+    prod = [[bracket(table, bi, bj) for bj in basis] for bi in basis]
     anti = []
     for i in range(n):
         for j in range(n):
-            residual = vec_add(table.c[i][j], vec_scale(table.c[j][i], Fraction(d)))
+            residual = vec_add(prod[i][j], vec_scale(prod[j][i], Fraction(d)))
             if not vec_is_zero(residual):
                 anti.append((i, j, residual))
     jacobi = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = _bracket_left_basis(table, i, table.c[j][k])
+                lhs = bracket(table, basis[i], prod[j][k])
                 rhs = vec_add(
-                    _bracket_right_basis(table, table.c[i][j], k),
-                    _bracket_left_basis(table, j, table.c[i][k]),
+                    bracket(table, prod[i][j], basis[k]),
+                    bracket(table, basis[j], prod[i][k]),
                 )
                 residual = vec_sub(lhs, vec_scale(rhs, Fraction(d)))
                 if not vec_is_zero(residual):
@@ -175,7 +170,7 @@ def ad_matrix(table: StructureTable, x: Vector) -> Matrix:
     """Matrix of y -> delta [x, y] in the table's basis."""
     n = table.dim
     cols = [
-        vec_scale(_bracket_right_basis(table, x, j), Fraction(table.delta))
+        vec_scale(bracket(table, x, table.basis_element(j)), Fraction(table.delta))
         for j in range(n)
     ]
     return Matrix(tuple(tuple(cols[j][k] for j in range(n)) for k in range(n)), n)
@@ -184,17 +179,19 @@ def ad_matrix(table: StructureTable, x: Vector) -> Matrix:
 def center(table: StructureTable) -> Subspace:
     """{v : [v, b_j] = 0 for all j}, via one stacked kernel computation."""
     n = table.dim
+    basis = [table.basis_element(i) for i in range(n)]
     rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append(tuple(table.c[i][j][k] for i in range(n)))
+    for bj in basis:
+        col = [bracket(table, bi, bj) for bi in basis]
+        rows.extend(tuple(col[i][k] for i in range(n)) for k in range(n))
     return kernel(Matrix(tuple(rows), n))
 
 
 def derived(table: StructureTable) -> Subspace:
     """Canonical span of all products of basis vectors."""
+    basis = [table.basis_element(i) for i in range(table.dim)]
     return Subspace.span(
-        table.dim, [table.c[i][j] for i in range(table.dim) for j in range(table.dim)]
+        table.dim, [bracket(table, bi, bj) for bi in basis for bj in basis]
     )
 
 
@@ -206,13 +203,14 @@ def ideal_closure(table: StructureTable, seed: Subspace) -> Subspace:
     """
     if seed.ambient_dim != table.dim:
         raise ValueError("seed ambient dimension does not match the algebra")
+    basis = [table.basis_element(j) for j in range(table.dim)]
     current = seed
     while True:
         rows = list(current.basis)
         for s in current.basis:
-            for j in range(table.dim):
-                rows.append(_bracket_right_basis(table, s, j))
-                rows.append(_bracket_left_basis(table, j, s))
+            for bj in basis:
+                rows.append(bracket(table, s, bj))
+                rows.append(bracket(table, bj, s))
         grown = Subspace.span(table.dim, rows)
         if grown.dim == current.dim:
             return grown
@@ -223,11 +221,12 @@ def is_ideal(table: StructureTable, subspace: Subspace) -> bool:
     """True iff the subspace absorbs basis products on both sides."""
     if subspace.ambient_dim != table.dim:
         raise ValueError("subspace ambient dimension does not match the algebra")
+    basis = [table.basis_element(j) for j in range(table.dim)]
     for s in subspace.basis:
-        for j in range(table.dim):
-            if not subspace.contains(_bracket_right_basis(table, s, j)):
+        for bj in basis:
+            if not subspace.contains(bracket(table, s, bj)):
                 return False
-            if not subspace.contains(_bracket_left_basis(table, j, s)):
+            if not subspace.contains(bracket(table, bj, s)):
                 return False
     return True
 

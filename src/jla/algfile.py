@@ -15,7 +15,8 @@ The on-disk format is plain JSON carrying exact rationals as strings:
 
 The file lists the FULL product table: no antisymmetry completion is ever
 applied, because with delta = -1 the product is symmetric and diagonal
-entries like [a, a] can be nonzero.  Unlisted pairs are zero.  "cartan"
+entries like [a, a] can be nonzero.  Unlisted pairs are zero, and zero
+terms and empty results are dropped on load.  "cartan"
 is optional and names a spanning set for the candidate Cartan subspace.
 """
 
@@ -25,7 +26,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import StructureTable
+from .algebra import StructureTable, bracket
 from .linalg import format_rational, parse_rational, zero_vector
 from .roots import CartanCandidate
 
@@ -155,11 +156,12 @@ def load(path) -> tuple[StructureTable, CartanCandidate | None]:
 def to_dict(table: StructureTable, cartan: CartanCandidate | None = None) -> dict:
     """Canonical file dictionary: nonzero records in basis order."""
     records = []
-    for i in range(table.dim):
-        for j in range(table.dim):
+    basis = [table.basis_element(i) for i in range(table.dim)]
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
             result = [
                 {"name": table.basis_names[k], "coeff": format_rational(c)}
-                for k, c in enumerate(table.c[i][j])
+                for k, c in enumerate(bracket(table, bi, bj))
                 if c != 0
             ]
             if result:

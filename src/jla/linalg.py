@@ -57,10 +57,6 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vec_neg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
-
-
 def vec_scale(u: Vector, c: Fraction) -> Vector:
     return tuple(c * a for a in u)
 
@@ -108,9 +104,6 @@ class Matrix:
     @property
     def nrows(self) -> int:
         return len(self.entries)
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
 
     def transpose(self) -> Matrix:
         return Matrix(
@@ -184,10 +177,6 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         if r == nrows:
             break
     return Matrix(tuple(tuple(row) for row in rows), m.cols), tuple(pivots)
-
-
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
 
 
 @dataclass(frozen=True)

@@ -58,29 +58,15 @@ class CartanCandidate:
 def centralizer(table: StructureTable, cartan: CartanCandidate) -> Subspace:
     """{x : [x, h] = 0 and [h, x] = 0 for every Cartan basis element h}."""
     n = table.dim
+    basis = [table.basis_element(i) for i in range(n)]
     rows = []
     for h in cartan.ordered_basis:
+        right = [bracket(table, e, h) for e in basis]
+        left = [bracket(table, h, e) for e in basis]
         for k in range(n):
-            # row of x -> [x, h]_k
-            rows.append(
-                tuple(
-                    sum(
-                        (h[j] * table.c[i][j][k] for j in range(n) if h[j] != 0),
-                        Fraction(0),
-                    )
-                    for i in range(n)
-                )
-            )
-            # row of x -> [h, x]_k
-            rows.append(
-                tuple(
-                    sum(
-                        (h[i] * table.c[i][j][k] for i in range(n) if h[i] != 0),
-                        Fraction(0),
-                    )
-                    for j in range(n)
-                )
-            )
+            # rows of x -> [x, h]_k and x -> [h, x]_k
+            rows.append(tuple(right[i][k] for i in range(n)))
+            rows.append(tuple(left[i][k] for i in range(n)))
     if not rows:
         return Subspace.full(n)
     return kernel(Matrix(tuple(rows), n))

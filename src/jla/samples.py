@@ -1,15 +1,15 @@
 """Bundled example algebras used by the test corpus and the docs.
 
 Each builder returns a (table, cartan) pair.  The 3x3 trace-zero algebra
-is generated from matrix units rather than typed in by hand, so its 512
-structure constants cannot silently drift.
+is generated from matrix units rather than typed in by hand, so its 64
+basis products cannot silently drift.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import StructureTable
+from .algebra import StructureTable, bracket
 from .linalg import Subspace
 from .roots import CartanCandidate
 
@@ -80,16 +80,14 @@ def direct_sum(
     n1, n2 = first.dim, second.dim
     dim = n1 + n2
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(n1):
-        for j in range(n1):
-            entry = {k: c for k, c in enumerate(first.c[i][j]) if c != 0}
-            if entry:
-                brackets[(i, j)] = entry
-    for i in range(n2):
-        for j in range(n2):
-            entry = {n1 + k: c for k, c in enumerate(second.c[i][j]) if c != 0}
-            if entry:
-                brackets[(n1 + i, n1 + j)] = entry
+    for offset, summand in ((0, first), (n1, second)):
+        basis = [summand.basis_element(i) for i in range(summand.dim)]
+        for i, bi in enumerate(basis):
+            for j, bj in enumerate(basis):
+                product = bracket(summand, bi, bj)
+                brackets[(offset + i, offset + j)] = {
+                    offset + k: c for k, c in enumerate(product)
+                }
     names = tuple(f"{name}{suffixes[0]}" for name in first.basis_names) + tuple(
         f"{name}{suffixes[1]}" for name in second.basis_names
     )

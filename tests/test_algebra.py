@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -29,6 +30,45 @@ def span(n, rows):
 E = (F(1), F(0), F(0))
 H = (F(0), F(1), F(0))
 FV = (F(0), F(0), F(1))
+
+
+# --- table construction ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "brackets",
+    [
+        {(-1, 0): {0: F(1)}},
+        {(0, -1): {0: F(1)}},
+        {(0, 0): {-2: F(1)}},
+        {(2, 0): {0: F(1)}},
+        {(0, 2): {0: F(1)}},
+        {(0, 0): {2: F(1)}},
+    ],
+)
+def test_from_brackets_rejects_indices_outside_the_basis(brackets):
+    with pytest.raises(ValueError, match="out of range"):
+        StructureTable.from_brackets(2, 1, brackets)
+
+
+def test_from_brackets_drops_zero_terms_and_empty_results():
+    table = StructureTable.from_brackets(
+        2, 1, {(1, 1): {0: F(0)}, (0, 1): {1: F(3), 0: F(0)}, (1, 0): {}}
+    )
+    assert dict(table.products) == {(0, 1): ((1, F(3)),)}
+
+
+def test_stored_zero_coefficient_is_rejected():
+    with pytest.raises(ValueError, match="zero coefficient"):
+        StructureTable(2, 1, {(0, 1): ((1, F(0)),)}, ("a", "b"))
+
+
+def test_structure_table_is_read_only():
+    table, _ = samples.sl2()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.products = {}
+    with pytest.raises(TypeError):
+        table.products[(0, 0)] = ((0, F(1)),)
 
 
 # --- bracket -----------------------------------------------------------------
@@ -87,7 +127,7 @@ def test_sl2_axioms_pass():
 
 def test_sl2_with_flipped_delta_fails_antisymmetry():
     table, _ = samples.sl2()
-    flipped = StructureTable(table.dim, -1, table.c, table.basis_names)
+    flipped = StructureTable(table.dim, -1, table.products, table.basis_names)
     report = check_axioms(flipped)
     assert not report.passed
     violations = {(i, j): r for i, j, r in report.antisymmetry_violations}

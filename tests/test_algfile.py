@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jla import samples
+from jla.algebra import check_axioms
 from jla.algfile import AlgebraFileError, dumps, load, load_dict, loads
 
 F = Fraction
@@ -21,6 +22,17 @@ def test_round_trip_is_identity_on_the_corpus():
         assert table2 == table, name
         assert cartan2 == cartan, name
         assert dumps(table2, cartan2) == text, name
+
+
+def test_zero_terms_and_empty_results_are_dropped():
+    table, cartan = samples.sl2()
+    data = json.loads(dumps(table, cartan))
+    data["brackets"][0]["result"].append({"name": "f", "coeff": "0"})
+    data["brackets"].append({"left": "e", "right": "e", "result": []})
+    loaded, loaded_cartan = loads(json.dumps(data))
+    assert loaded == table
+    assert dumps(loaded, loaded_cartan) == dumps(table, cartan)
+    assert check_axioms(loaded) == check_axioms(table)
 
 
 def test_sl2_file_lists_six_records():

@@ -47,12 +47,7 @@ def _sl3_with_zeroed_product():
     decomposition is the same; only the multiplicativity check changes.
     """
     table, cartan = samples.sl3()
-    brackets = {}
-    for i in range(8):
-        for j in range(8):
-            entry = {k: c for k, c in enumerate(table.c[i][j]) if c != 0}
-            if entry:
-                brackets[(i, j)] = entry
+    brackets = {pair: dict(terms) for pair, terms in table.products.items()}
     # basis order (e12, e13, e23, h1, h2, e21, e31, e32): kill [e12, e23]
     brackets.pop((0, 2))
     broken = StructureTable.from_brackets(8, 1, brackets, table.basis_names)
