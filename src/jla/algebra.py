@@ -25,9 +25,7 @@ from .linalg import (
     basis_vector,
     kernel,
     vec_add,
-    vec_is_zero,
     vec_scale,
-    vec_sub,
     vector,
 )
 
@@ -142,28 +140,56 @@ class AxiomReport:
 
 
 def check_axioms(table: StructureTable) -> AxiomReport:
+    """Check both axioms on every basis pair and triple.
+
+    The n^2 basis products are computed once with ``bracket`` and kept as
+    their nonzero terms.  Each residual is summed from those terms by
+    bilinearity, [b_i, sum c_l b_l] = sum c_l [b_i, b_l], so a pair or
+    triple whose products vanish costs next to nothing; a dense residual
+    vector is built only for a violation.  Violations are listed in
+    lexicographic index order.
+    """
     n, d = table.dim, table.delta
     basis = [table.basis_element(i) for i in range(n)]
     prod = [[bracket(table, bi, bj) for bj in basis] for bi in basis]
+    terms = [
+        [[(l, c) for l, c in enumerate(p) if c != 0] for p in row] for row in prod
+    ]
+    dterms = [[[(l, d * c) for l, c in t] for t in row] for row in terms]
     anti = []
     for i in range(n):
         for j in range(n):
-            residual = vec_add(prod[i][j], vec_scale(prod[j][i], Fraction(d)))
-            if not vec_is_zero(residual):
-                anti.append((i, j, residual))
+            # [b_i, b_j] + d [b_j, b_i]
+            acc = dict(terms[i][j])
+            for l, c in dterms[j][i]:
+                acc[l] = acc.get(l, 0) + c
+            if any(acc.values()):
+                anti.append((i, j, _dense(n, acc)))
     jacobi = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = bracket(table, basis[i], prod[j][k])
-                rhs = vec_add(
-                    bracket(table, prod[i][j], basis[k]),
-                    bracket(table, basis[j], prod[i][k]),
-                )
-                residual = vec_sub(lhs, vec_scale(rhs, Fraction(d)))
-                if not vec_is_zero(residual):
-                    jacobi.append((i, j, k, residual))
+                # [b_i, [b_j, b_k]] - d [[b_i, b_j], b_k] - d [b_j, [b_i, b_k]]
+                acc = {}
+                for l, c in terms[j][k]:
+                    for m, e in terms[i][l]:
+                        acc[m] = acc.get(m, 0) + c * e
+                for l, c in dterms[i][j]:
+                    for m, e in terms[l][k]:
+                        acc[m] = acc.get(m, 0) - c * e
+                for l, c in dterms[i][k]:
+                    for m, e in terms[j][l]:
+                        acc[m] = acc.get(m, 0) - c * e
+                if any(acc.values()):
+                    jacobi.append((i, j, k, _dense(n, acc)))
     return AxiomReport(n, d, tuple(anti), tuple(jacobi))
+
+
+def _dense(n: int, terms: dict[int, Fraction]) -> Vector:
+    out = [Fraction(0)] * n
+    for k, c in terms.items():
+        out[k] = c
+    return tuple(out)
 
 
 def ad_matrix(table: StructureTable, x: Vector) -> Matrix:

@@ -304,6 +304,16 @@ def render(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _oracle_cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jla",
@@ -321,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--oracle-cap",
-            type=int,
+            type=_oracle_cap,
             default=DEFAULT_ORACLE_CAP,
             help="dimension cap for the brute-force ideal enumeration",
         )

@@ -53,10 +53,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vec_scale(u: Vector, c: Fraction) -> Vector:
     return tuple(c * a for a in u)
 
@@ -128,24 +124,10 @@ class Matrix:
     def scale(self, c: Fraction) -> Matrix:
         return Matrix(tuple(vec_scale(row, c) for row in self.entries), self.cols)
 
-    def mul(self, other: Matrix) -> Matrix:
-        if self.cols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = other.transpose().entries
-        return Matrix(
-            tuple(tuple(vec_dot(row, col) for col in cols) for row in self.entries),
-            other.cols,
-        )
-
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
         return tuple(vec_dot(row, v) for row in self.entries)
-
-    def trace(self) -> Fraction:
-        if self.nrows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.nrows)), Fraction(0))
 
     def is_zero(self) -> bool:
         return all(vec_is_zero(row) for row in self.entries)
@@ -341,19 +323,61 @@ def complement_within(inner: Subspace, outer: Subspace) -> Subspace:
 def charpoly(m: Matrix) -> tuple[Fraction, ...]:
     """Monic characteristic polynomial det(xI - m), leading coefficient first.
 
-    Faddeev-LeVerrier recursion; exact over Q (characteristic zero).
+    Exact over Q in O(n^3) Fraction operations: ``m`` is brought to upper
+    Hessenberg form H by elementary similarity transforms (Gaussian
+    elimination below the subdiagonal, swapping in a nonzero pivot when
+    the subdiagonal entry is zero), then det(xI - H) is expanded by the
+    recurrence on its leading principal minors (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.2.9).  Zero entries are
+    skipped, so a diagonal matrix such as ad(h) on a root basis costs
+    O(n^2).
     """
     if m.nrows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.nrows
-    coeffs = [Fraction(1)]
-    aux = Matrix.identity(n)
-    for k in range(1, n + 1):
-        prod = m.mul(aux)
-        c = -prod.trace() / k
-        coeffs.append(c)
-        aux = prod.add(Matrix.identity(n).scale(c))
-    return tuple(coeffs)
+    h = [list(row) for row in m.entries]
+    for c in range(n - 2):
+        p = next((i for i in range(c + 1, n) if h[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != c + 1:
+            h[p], h[c + 1] = h[c + 1], h[p]
+            for row in h:
+                row[p], row[c + 1] = row[c + 1], row[p]
+        pivot_row = h[c + 1]
+        pivot = pivot_row[c]
+        for i in range(c + 2, n):
+            if h[i][c] == 0:
+                continue
+            # Row i -= u * row c+1, then column c+1 += u * column i: the
+            # similarity by the elementary matrix and its inverse.
+            u = h[i][c] / pivot
+            row = h[i]
+            for j in range(c, n):
+                if pivot_row[j] != 0:
+                    row[j] -= u * pivot_row[j]
+            for r in h:
+                if r[i] != 0:
+                    r[c + 1] += u * r[i]
+    # polys[k] = det(xI - H[:k, :k]), lowest degree first.
+    polys = [[Fraction(1)]]
+    for k in range(n):
+        prev = polys[k]
+        poly = [Fraction(0)] + prev
+        if h[k][k] != 0:
+            for d, a in enumerate(prev):
+                poly[d] -= h[k][k] * a
+        t = Fraction(1)
+        for i in range(k - 1, -1, -1):
+            t *= h[i + 1][i]
+            if t == 0:
+                break
+            f = t * h[i][k]
+            if f != 0:
+                for d, a in enumerate(polys[i]):
+                    poly[d] -= f * a
+        polys.append(poly)
+    return tuple(reversed(polys[n]))
 
 
 def _divisors(n: int) -> list[int]:
@@ -397,6 +421,11 @@ def rational_eigen(m: Matrix) -> list[tuple[Fraction, Subspace]]:
     trailing and leading coefficients).  Succeeds exactly when the
     eigenspace dimensions add up to the full dimension, i.e. when ``m``
     is diagonalizable over Q; otherwise raises NotSplitError.
+
+    Cost: one O(n^3) ``charpoly``, one O(n^3) ``kernel`` per distinct
+    eigenvalue, and a divisor search that grows with the square root of
+    the trailing and leading coefficients' magnitude, which dominates once
+    the eigenvalues are large.
     """
     if m.nrows != m.cols:
         raise ValueError("eigendecomposition of a non-square matrix")

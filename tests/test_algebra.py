@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jla import samples
 from jla.algebra import (
+    AxiomReport,
     OracleCapExceeded,
     StructureTable,
     ad_matrix,
@@ -18,7 +21,7 @@ from jla.algebra import (
     minimal_ideals_oracle,
     random_element,
 )
-from jla.linalg import Matrix, Subspace, vec_add, vec_is_zero, vec_scale
+from jla.linalg import Matrix, Subspace, vec_add, vec_is_zero, vec_scale, vector
 
 F = Fraction
 
@@ -148,6 +151,65 @@ def test_broken_sl2_fails_with_localized_residual():
     assert not report.passed
     anti = {(i, j) for i, j, _ in report.antisymmetry_violations}
     assert anti == {(0, 2), (2, 0)}
+
+
+def _dense_axioms(table):
+    """Reference: both axioms by ``bracket`` on every basis pair and triple."""
+    n, d = table.dim, table.delta
+    basis = [table.basis_element(i) for i in range(n)]
+    anti, jacobi = [], []
+    for i in range(n):
+        for j in range(n):
+            r = vec_add(
+                bracket(table, basis[i], basis[j]),
+                vec_scale(bracket(table, basis[j], basis[i]), F(d)),
+            )
+            if not vec_is_zero(r):
+                anti.append((i, j, r))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = bracket(table, basis[i], bracket(table, basis[j], basis[k]))
+                rhs = vec_add(
+                    bracket(table, bracket(table, basis[i], basis[j]), basis[k]),
+                    bracket(table, basis[j], bracket(table, basis[i], basis[k])),
+                )
+                r = vector(a - d * b for a, b in zip(lhs, rhs))
+                if not vec_is_zero(r):
+                    jacobi.append((i, j, k, r))
+    return AxiomReport(n, d, tuple(anti), tuple(jacobi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["sl3", "delta_minus_dim2"]),
+    st.sampled_from(["change", "add", "remove"]),
+    st.data(),
+)
+def test_check_axioms_matches_dense_reference(name, edit, data):
+    """One structure constant changed, added or removed: the sparse check
+    reports the same violations, in the same order, with the same residuals
+    as bracketing every triple."""
+    table, _ = getattr(samples, name)()
+    brackets = {pair: dict(terms) for pair, terms in table.products.items()}
+    if edit == "add":
+        index = st.integers(0, table.dim - 1)
+        i, j, k = data.draw(st.tuples(index, index, index))
+    else:
+        pair = data.draw(st.sampled_from(sorted(brackets)))
+        i, j = pair
+        k = data.draw(st.sampled_from(sorted(brackets[pair])))
+    if edit == "remove":
+        del brackets[(i, j)][k]
+    else:
+        coeff = data.draw(
+            st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+        )
+        brackets.setdefault((i, j), {})[k] = coeff
+    edited = StructureTable.from_brackets(
+        table.dim, table.delta, brackets, table.basis_names
+    )
+    assert check_axioms(edited) == _dense_axioms(edited)
 
 
 # --- ad matrices ---------------------------------------------------------------

@@ -106,6 +106,14 @@ def test_oracle_cap_is_an_input_error():
     assert "cap" in json.loads(out)["result"]["error"]
 
 
+@pytest.mark.parametrize("cap", ["-5", "-1", "abc"])
+def test_bad_oracle_cap_is_a_usage_error(cap, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("oracle", str(DATA_DIR / "sl2.alg"), "--oracle-cap", cap)
+    assert exc.value.code == 2
+    assert "--oracle-cap" in capsys.readouterr().err
+
+
 def test_oracle_reports_method_note():
     code, report = _load("sl2x2", "oracle")
     assert code == 0

@@ -158,6 +158,19 @@ def test_charpoly_of_swap_matrix():
     assert charpoly(M([[0, 1], [1, 0]])) == (F(1), F(0), F(-1))
 
 
+def test_charpoly_small_and_degenerate_cases():
+    assert charpoly(Matrix.zeros(0, 0)) == (F(1),)
+    assert charpoly(M([["3/2"]])) == (F(1), F(-3, 2))
+    assert charpoly(Matrix.zeros(3, 3)) == (F(1), F(0), F(0), F(0))
+    jordan = M([[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)])
+    assert charpoly(jordan) == (F(1), F(0), F(0), F(0), F(0))
+
+
+def test_charpoly_rejects_non_square():
+    with pytest.raises(ValueError):
+        charpoly(M([[1, 2]]))
+
+
 def test_eigen_fractional_eigenvalue():
     pairs = rational_eigen(M([["1/2", 0], [0, "1/3"]]))
     assert [lam for lam, _ in pairs] == [F(1, 3), F(1, 2)]
@@ -215,13 +228,72 @@ def test_eigen_reconstructs_conjugated_diagonal(data):
     d = Matrix.from_rows(
         [[eigenvalues[i] if i == j else 0 for j in range(n)] for i in range(n)], n
     )
-    m = p.mul(d).mul(p_inv)
+    m = _product(_product(p, d), p_inv)
     pairs = rational_eigen(m)
     assert {lam for lam, _ in pairs} == {F(v) for v in eigenvalues}
     assert sum(space.dim for _, space in pairs) == n
     for lam, space in pairs:
         for v in space.basis:
             assert m.apply(v) == vec_scale(v, lam)
+
+
+def _det(rows):
+    """Determinant by Fraction elimination with row swaps."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    det = F(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+def _square(n, elements):
+    return st.lists(
+        st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_charpoly_matches_determinant_reference(data):
+    """p(t) = det(tI - m) at t = 0..n, on dense and sparse matrices; zeroed
+    subdiagonal entries force both the skipped-column and the pivot-swap
+    paths of the Hessenberg reduction."""
+    n = data.draw(st.integers(0, 7))
+    rows = data.draw(_square(n, fractions_))
+    if data.draw(st.booleans()):
+        keep = data.draw(_square(n, st.booleans()))
+        rows = [[x if k else F(0) for x, k in zip(r, ks)] for r, ks in zip(rows, keep)]
+    if n >= 2:
+        for c in data.draw(st.lists(st.integers(0, n - 2))):
+            rows[c + 1][c] = F(0)
+    p = charpoly(Matrix.from_rows(rows, n))
+    assert len(p) == n + 1 and p[0] == 1
+    for t in range(n + 1):
+        value = F(0)
+        for c in p:
+            value = value * t + c
+        shifted = [[-x for x in row] for row in rows]
+        for i in range(n):
+            shifted[i][i] += t
+        assert value == _det(shifted)
+
+
+def _product(a, b):
+    cols = list(zip(*b.entries))
+    return Matrix.from_rows(
+        [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries],
+        b.cols,
+    )
 
 
 def _invert(p):
