@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 
 from .linalg import (
@@ -143,17 +144,24 @@ def check_axioms(table: StructureTable) -> AxiomReport:
     """Check both axioms on every basis pair and triple.
 
     The n^2 basis products are computed once with ``bracket`` and kept as
-    their nonzero terms.  Each residual is summed from those terms by
+    their nonzero terms, cleared to integers over one common denominator
+    D.  Each residual is summed over Python ints from those terms by
     bilinearity, [b_i, sum c_l b_l] = sum c_l [b_i, b_l], so a pair or
-    triple whose products vanish costs next to nothing; a dense residual
-    vector is built only for a violation.  Violations are listed in
-    lexicographic index order.
+    triple whose products vanish costs next to nothing: an antisymmetry
+    residual is the sum over D and a Jacobi residual the sum over D^2.  A
+    dense Fraction residual vector is built only for a violation.
+    Violations are listed in lexicographic index order.
     """
     n, d = table.dim, table.delta
     basis = [table.basis_element(i) for i in range(n)]
     prod = [[bracket(table, bi, bj) for bj in basis] for bi in basis]
+    denom = lcm(*(c.denominator for row in prod for p in row for c in p))
     terms = [
-        [[(l, c) for l, c in enumerate(p) if c != 0] for p in row] for row in prod
+        [
+            [(l, c.numerator * (denom // c.denominator)) for l, c in enumerate(p) if c]
+            for p in row
+        ]
+        for row in prod
     ]
     dterms = [[[(l, d * c) for l, c in t] for t in row] for row in terms]
     anti = []
@@ -164,7 +172,7 @@ def check_axioms(table: StructureTable) -> AxiomReport:
             for l, c in dterms[j][i]:
                 acc[l] = acc.get(l, 0) + c
             if any(acc.values()):
-                anti.append((i, j, _dense(n, acc)))
+                anti.append((i, j, _dense(n, acc, denom)))
     jacobi = []
     for i in range(n):
         for j in range(n):
@@ -181,14 +189,14 @@ def check_axioms(table: StructureTable) -> AxiomReport:
                     for m, e in terms[j][l]:
                         acc[m] = acc.get(m, 0) - c * e
                 if any(acc.values()):
-                    jacobi.append((i, j, k, _dense(n, acc)))
+                    jacobi.append((i, j, k, _dense(n, acc, denom * denom)))
     return AxiomReport(n, d, tuple(anti), tuple(jacobi))
 
 
-def _dense(n: int, terms: dict[int, Fraction]) -> Vector:
+def _dense(n: int, terms: dict[int, int], denom: int) -> Vector:
     out = [Fraction(0)] * n
     for k, c in terms.items():
-        out[k] = c
+        out[k] = Fraction(c, denom)
     return tuple(out)
 
 
@@ -224,23 +232,51 @@ def derived(table: StructureTable) -> Subspace:
 def ideal_closure(table: StructureTable, seed: Subspace) -> Subspace:
     """Smallest subspace containing ``seed`` closed under both-sided products.
 
-    Fixed-point iteration adjoining [s, b_j] and [b_j, s]; the dimension
-    grows every round, so it terminates within dim steps.
+    Worklist closure: the span is kept as a fully reduced echelon basis,
+    one row per pivot, and every vector adjoined to it is queued.  A queued
+    vector is bracketed once with each b_j on both sides; each product is
+    reduced against the basis and adjoined when a nonzero remainder is
+    left.  The queued vectors span the current subspace, so by bilinearity
+    the span is closed once the queue is empty; it stops early when the
+    dimension reaches the algebra's.  Cost: at most 2 n^2 products and
+    reductions of O(n^2) Fraction operations each, and no full RREF.  The
+    rows sorted by pivot are the canonical RREF basis.
     """
     if seed.ambient_dim != table.dim:
         raise ValueError("seed ambient dimension does not match the algebra")
-    basis = [table.basis_element(j) for j in range(table.dim)]
-    current = seed
-    while True:
-        rows = list(current.basis)
-        for s in current.basis:
-            for bj in basis:
-                rows.append(bracket(table, s, bj))
-                rows.append(bracket(table, bj, s))
-        grown = Subspace.span(table.dim, rows)
-        if grown.dim == current.dim:
-            return grown
-        current = grown
+    n = table.dim
+    rows: dict[int, list[Fraction]] = {}
+    queue: list[Vector] = []
+
+    def adjoin(v: Vector) -> None:
+        v = list(v)
+        for p, row in rows.items():
+            c = v[p]
+            if c != 0:
+                v = [a - c * b for a, b in zip(v, row)]
+        q = next((j for j, a in enumerate(v) if a != 0), None)
+        if q is None:
+            return
+        inv = v[q]
+        v = [a / inv for a in v]
+        for p, row in rows.items():
+            c = row[q]
+            if c != 0:
+                rows[p] = [a - c * b for a, b in zip(row, v)]
+        rows[q] = v
+        queue.append(tuple(v))
+
+    for s in seed.basis:
+        adjoin(s)
+    basis = [table.basis_element(j) for j in range(n)]
+    while queue and len(rows) < n:
+        s = queue.pop()
+        for bj in basis:
+            adjoin(bracket(table, s, bj))
+            adjoin(bracket(table, bj, s))
+            if len(rows) == n:
+                break
+    return Subspace(n, tuple(tuple(rows[p]) for p in sorted(rows)))
 
 
 def is_ideal(table: StructureTable, subspace: Subspace) -> bool:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from functools import reduce
+from math import gcd, isqrt, lcm
 
 Vector = tuple[Fraction, ...]
 
@@ -109,20 +110,6 @@ class Matrix:
             ),
             self.nrows,
         )
-
-    def add(self, other: Matrix) -> Matrix:
-        if (self.nrows, self.cols) != (other.nrows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)),
-            self.cols,
-        )
-
-    def sub(self, other: Matrix) -> Matrix:
-        return self.add(other.scale(Fraction(-1)))
-
-    def scale(self, c: Fraction) -> Matrix:
-        return Matrix(tuple(vec_scale(row, c) for row in self.entries), self.cols)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
@@ -380,18 +367,76 @@ def charpoly(m: Matrix) -> tuple[Fraction, ...]:
     return tuple(reversed(polys[n]))
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-    return sorted(out)
+def _poly_eval(coeffs: list[int], x: int, m: int) -> int:
+    """Value at x of the integer polynomial (leading coefficient first), mod m."""
+    acc = 0
+    for c in coeffs:
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _derivative(coeffs: list[int]) -> list[int]:
+    d = len(coeffs) - 1
+    return [c * (d - i) for i, c in enumerate(coeffs[:-1])]
+
+
+def _primitive(coeffs: list[int]) -> list[int]:
+    """Divide out the content and make the leading coefficient positive."""
+    g = gcd(*coeffs)
+    if coeffs[0] < 0:
+        g = -g
+    return [c // g for c in coeffs]
+
+
+def _squarefree_part(f: list[int]) -> list[int]:
+    """f / gcd(f, f') for a primitive integer polynomial f of positive degree.
+
+    The gcd comes from the primitive remainder sequence (pseudo-division,
+    content removed at each step), so every coefficient stays an integer
+    of bounded size; the gcd is primitive, so by Gauss's lemma the exact
+    quotient is integral.
+    """
+    a, b = f, _primitive(_derivative(f))
+    while len(b) > 1:
+        r = list(a)
+        while len(r) >= len(b):
+            lead = r[0]
+            r = [b[0] * c for c in r[1:]]
+            for i in range(1, len(b)):
+                r[i - 1] -= lead * b[i]
+            while r and r[0] == 0:
+                r.pop(0)
+        if not r:
+            break
+        a, b = b, _primitive(r)
+    if len(b) == 1:
+        return f
+    quotient, r = [], list(f)
+    while len(r) >= len(b):
+        lead = r[0] // b[0]
+        quotient.append(lead)
+        for i in range(1, len(b)):
+            r[i] -= lead * b[i]
+        r.pop(0)
+    return quotient
 
 
 def _rational_roots(int_coeffs: list[int]) -> set[Fraction]:
-    """All rational roots of an integer polynomial (leading coeff first)."""
+    """All rational roots of an integer polynomial (leading coeff first).
+
+    p-adic method (R. Loos, SIAM J. Comput. 1983; von zur Gathen and
+    Gerhard, Modern Computer Algebra, on Hensel lifting): strip the x^k
+    factor, take the squarefree part f / gcd(f, f') of the primitive
+    polynomial, and substitute y = a x for its leading coefficient a, which
+    gives a monic integer F whose integer roots are the a x.  Every integer
+    root of F reduces to a root of F mod p; for the first prime p at which
+    every root of F mod p is simple, Newton's iteration lifts each one
+    uniquely and quadratically to a root mod p^(2^k).  Once the modulus
+    exceeds 2B, with B = 1 + max |F_i| the Cauchy bound on |y|, the
+    symmetric residue is the integer root itself if there is one, and an
+    exact evaluation decides.  The cost is polynomial in the degree and in
+    the bit size of the coefficients.
+    """
     coeffs = list(int_coeffs)
     roots: set[Fraction] = set()
     while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -399,33 +444,45 @@ def _rational_roots(int_coeffs: list[int]) -> set[Fraction]:
         roots.add(Fraction(0))
     if len(coeffs) <= 1:
         return roots
-    candidates: set[Fraction] = set()
-    for p in _divisors(coeffs[-1]):
-        for q in _divisors(coeffs[0]):
-            candidates.add(Fraction(p, q))
-            candidates.add(Fraction(-p, q))
-    for cand in candidates:
-        acc = Fraction(0)
-        for c in coeffs:
-            acc = acc * cand + c
-        if acc == 0:
-            roots.add(cand)
+    f = _squarefree_part(_primitive(coeffs))
+    a = f[0]
+    big_f = [c * a ** (i - 1) if i else 1 for i, c in enumerate(f)]
+    big_df = _derivative(big_f)
+    bound = 2 * (1 + max(abs(c) for c in big_f))
+    p = 1
+    while True:
+        p += 1
+        if any(p % t == 0 for t in range(2, isqrt(p) + 1)):
+            continue
+        residues = [r for r in range(p) if _poly_eval(big_f, r, p) == 0]
+        if all(_poly_eval(big_df, r, p) for r in residues):
+            break
+    for y in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            y -= _poly_eval(big_f, y, m) * pow(_poly_eval(big_df, y, m), -1, m)
+            y %= m
+        if y > m // 2:
+            y -= m
+        if reduce(lambda acc, c: acc * y + c, big_f, 0) == 0:
+            roots.add(Fraction(y, a))
     return roots
 
 
 def rational_eigen(m: Matrix) -> list[tuple[Fraction, Subspace]]:
     """Rational eigenvalues with their eigenspaces, sorted by eigenvalue.
 
-    Eigenvalues come from the rational-root theorem applied to the
-    integer-scaled characteristic polynomial (divisor enumeration of the
-    trailing and leading coefficients).  Succeeds exactly when the
-    eigenspace dimensions add up to the full dimension, i.e. when ``m``
-    is diagonalizable over Q; otherwise raises NotSplitError.
+    Eigenvalues are the rational roots of the integer-scaled characteristic
+    polynomial, found p-adically by ``_rational_roots``.  Succeeds exactly
+    when the eigenspace dimensions add up to the full dimension, i.e. when
+    ``m`` is diagonalizable over Q; otherwise raises NotSplitError.
 
-    Cost: one O(n^3) ``charpoly``, one O(n^3) ``kernel`` per distinct
-    eigenvalue, and a divisor search that grows with the square root of
-    the trailing and leading coefficients' magnitude, which dominates once
-    the eigenvalues are large.
+    Cost: one O(n^3) ``charpoly``, one O(n^3) ``kernel`` of m - lambda I
+    per distinct eigenvalue, and a root search polynomial in n and in the
+    bit size of the charpoly's coefficients: an integer gcd of degree n,
+    trial evaluation mod small primes, and O(log(bits)) Newton steps per
+    root.
     """
     if m.nrows != m.cols:
         raise ValueError("eigendecomposition of a non-square matrix")
@@ -436,7 +493,10 @@ def rational_eigen(m: Matrix) -> list[tuple[Fraction, Subspace]]:
     pairs = []
     total = 0
     for lam in sorted(_rational_roots(int_coeffs)):
-        space = kernel(m.sub(Matrix.identity(n).scale(lam)))
+        shifted = tuple(
+            row[:i] + (row[i] - lam,) + row[i + 1 :] for i, row in enumerate(m.entries)
+        )
+        space = kernel(Matrix(shifted, n))
         pairs.append((lam, space))
         total += space.dim
     if total != n:

@@ -1,12 +1,17 @@
 import contextlib
+import importlib.util
 import io
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from jla import samples
+from jla.algebra import StructureTable, bracket
 from jla.cli import main as cli_main
-from jla.roots import root_decomposition
+from jla.linalg import Matrix, Subspace, rref
+from jla.roots import CartanCandidate, root_decomposition
 
 _acceptance_results = {}
 
@@ -38,6 +43,7 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"ACCEPTANCE {num}: {status} - {title}")
 
 DATA_DIR = Path(__file__).parent / "data"
+BENCH_DIR = Path(__file__).parent.parent / "bench"
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # Algebras whose bundled Cartan candidate yields a valid decomposition.
@@ -64,3 +70,52 @@ def run_cli(*argv):
     with contextlib.redirect_stdout(buf):
         code = cli_main(list(argv))
     return code, buf.getvalue()
+
+
+@pytest.fixture(scope="session")
+def classical():
+    """bench/algebras.py: generated classical algebras and seeded basis changes."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_algebras", BENCH_DIR / "algebras.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolves string annotations through sys.modules.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def rebased(table, cartan, rng):
+    """The same algebra and Cartan candidate in a random rational basis.
+
+    The new basis is b'_i = sum_j p_ij b_j for P = L D U, with unit
+    triangular L and U and diagonal D drawn as small signed fractions.
+    """
+    n = table.dim
+
+    def small():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    lower = [[Fraction(i == j) if j >= i else small() for j in range(n)] for i in range(n)]
+    upper = [[Fraction(i == j) if j <= i else small() for j in range(n)] for i in range(n)]
+    diag = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 3)) for _ in range(n)]
+    p = [
+        [sum(lower[i][t] * diag[t] * upper[t][j] for t in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    augmented = [row + [Fraction(i == j) for j in range(n)] for i, row in enumerate(p)]
+    p_inv = [row[n:] for row in rref(Matrix.from_rows(augmented))[0].entries]
+
+    def to_new(x):
+        return tuple(sum(x[a] * p_inv[a][k] for a in range(n)) for k in range(n))
+
+    brackets = {
+        (i, j): dict(enumerate(to_new(bracket(table, tuple(p[i]), tuple(p[j])))))
+        for i in range(n)
+        for j in range(n)
+    }
+    new_table = StructureTable.from_brackets(n, table.delta, brackets, table.basis_names)
+    if cartan is None:
+        return new_table, None
+    rows = [to_new(h) for h in cartan.ordered_basis]
+    return new_table, CartanCandidate(Subspace.span(n, rows))

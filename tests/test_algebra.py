@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jla import samples
+from jla import algebra, samples
 from jla.algebra import (
     AxiomReport,
     OracleCapExceeded,
@@ -21,7 +21,10 @@ from jla.algebra import (
     minimal_ideals_oracle,
     random_element,
 )
+from jla.algfile import loads
 from jla.linalg import Matrix, Subspace, vec_add, vec_is_zero, vec_scale, vector
+
+from conftest import rebased
 
 F = Fraction
 
@@ -180,9 +183,25 @@ def _dense_axioms(table):
     return AxiomReport(n, d, tuple(anti), tuple(jacobi))
 
 
-@settings(max_examples=40, deadline=None)
+def _sl2_dense():
+    """sl2 in a rational basis where every product is nonzero off the
+    diagonal and no stored coefficient is an integer."""
+    table, _ = rebased(*samples.sl2(), random.Random(1))
+    assert all((i, j) in table.products for i in range(3) for j in range(3) if i != j)
+    assert all(c.denominator > 1 for terms in table.products.values() for _, c in terms)
+    return table, None
+
+
+REFERENCE_TABLES = {
+    "sl3": samples.sl3,
+    "delta_minus_dim2": samples.delta_minus_dim2,
+    "sl2_dense": _sl2_dense,
+}
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(["sl3", "delta_minus_dim2"]),
+    st.sampled_from(sorted(REFERENCE_TABLES)),
     st.sampled_from(["change", "add", "remove"]),
     st.data(),
 )
@@ -190,7 +209,7 @@ def test_check_axioms_matches_dense_reference(name, edit, data):
     """One structure constant changed, added or removed: the sparse check
     reports the same violations, in the same order, with the same residuals
     as bracketing every triple."""
-    table, _ = getattr(samples, name)()
+    table, _ = REFERENCE_TABLES[name]()
     brackets = {pair: dict(terms) for pair, terms in table.products.items()}
     if edit == "add":
         index = st.integers(0, table.dim - 1)
@@ -238,8 +257,9 @@ def test_ad_linearity():
     for _ in range(10):
         x = random_element(table, rng)
         y = random_element(table, rng)
-        assert ad_matrix(table, vec_add(x, y)) == ad_matrix(table, x).add(
-            ad_matrix(table, y)
+        ax, ay = ad_matrix(table, x), ad_matrix(table, y)
+        assert ad_matrix(table, vec_add(x, y)).entries == tuple(
+            vec_add(r, s) for r, s in zip(ax.entries, ay.entries)
         )
 
 
@@ -328,6 +348,53 @@ def test_ideal_closure_monotone_idempotent():
         assert seed.is_subspace_of(closure)
         assert ideal_closure(table, closure) == closure
         assert is_ideal(table, closure)
+
+
+def _fixed_point_closure(table, seed):
+    """Reference: re-bracket the whole basis every round until the span
+    stops growing (the closure before the worklist)."""
+    basis = [table.basis_element(j) for j in range(table.dim)]
+    current = seed
+    while True:
+        rows = list(current.basis)
+        for s in current.basis:
+            for bj in basis:
+                rows.append(bracket(table, s, bj))
+                rows.append(bracket(table, bj, s))
+        grown = Subspace.span(table.dim, rows)
+        if grown.dim == current.dim:
+            return grown
+        current = grown
+
+
+CLOSURE_TABLES = {
+    **{name: table for name, (table, _) in samples.corpus().items()},
+    "sl2_dense": _sl2_dense()[0],
+    # [b0, b1] = b2 and [b1, b0] = 0: a left product leaves span(b1), a
+    # right one does not.
+    "one_sided": StructureTable.from_brackets(3, 1, {(0, 1): {2: F(1)}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_TABLES) + ["gl3"])
+def test_worklist_closure_matches_fixed_point_reference(classical, name, monkeypatch):
+    """Random seeds of dimension 0-3, and the oracle's own list, on every
+    corpus table (both delta = -1 ones included), a dense basis, a
+    one-sided product and a generated gl3."""
+    if name == "gl3":
+        table, _ = loads(classical.alg_text(classical.gl(3)))
+    else:
+        table = CLOSURE_TABLES[name]
+    rng = random.Random(name)
+    for _ in range(12):
+        seed = span(
+            table.dim,
+            [random_element(table, rng) for _ in range(rng.randint(0, 3))],
+        )
+        assert ideal_closure(table, seed) == _fixed_point_closure(table, seed)
+    expected = minimal_ideals_oracle(table)
+    monkeypatch.setattr(algebra, "ideal_closure", _fixed_point_closure)
+    assert minimal_ideals_oracle(table) == expected
 
 
 def test_is_ideal_examples():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from jla.linalg import (
     Matrix,
+    _rational_roots,
     NotSplitError,
     Subspace,
     charpoly,
@@ -174,6 +175,46 @@ def test_charpoly_rejects_non_square():
 def test_eigen_fractional_eigenvalue():
     pairs = rational_eigen(M([["1/2", 0], [0, "1/3"]]))
     assert [lam for lam, _ in pairs] == [F(1, 3), F(1, 2)]
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(-(2**64), 2**64),
+            st.integers(1, 2**64),
+            st.integers(1, 3),
+        ),
+        max_size=6,
+    ),
+    st.lists(st.integers(1, 2**64), max_size=2),
+    st.integers(1, 2**16).flatmap(lambda c: st.sampled_from([c, -c])),
+)
+def test_rational_roots_finds_exactly_the_linear_factors(factors, no_root, lead):
+    """lead * prod (q x - p)^m * prod (x^2 + k): the rational roots are the
+    p/q, whatever their size and multiplicity."""
+    poly = [lead]
+    for p, q, multiplicity in factors:
+        for _ in range(multiplicity):
+            poly = _poly_mul(poly, [q, -p])
+    for k in no_root:
+        poly = _poly_mul(poly, [1, 0, k])
+    assert _rational_roots(poly) == {F(p, q) for p, q, _ in factors}
+
+
+def test_rational_roots_of_constants_and_monomials():
+    assert _rational_roots([5]) == set()
+    assert _rational_roots([3, 0, 0]) == {F(0)}
+    assert _rational_roots([1, 0, -2]) == set()
+    assert _rational_roots([4, -4, 1]) == {F(1, 2)}
 
 
 # --- properties ---------------------------------------------------------------
